@@ -165,7 +165,7 @@ def _run_everywhere(workload, p: int, label: str) -> str | None:
 # ---------------------------------------------------------------------------
 def trial_backend_program(rng: random.Random) -> tuple[str | None, dict[str, int]]:
     """A fuzzer-generated Skil program, compiled and run per backend."""
-    from repro.check.fuzz import generate_spec, render
+    from repro.check.fuzz import associative_record_folds, generate_spec, render
     from repro.lang.compiler import compile_skil
 
     spec_seed = rng.randrange(2**31)
@@ -178,7 +178,8 @@ def trial_backend_program(rng: random.Random) -> tuple[str | None, dict[str, int
 
     def workload(ctx: SkilContext):
         mod = compile_skil(src)
-        out = mod.run("entry", ctx=ctx)
+        with associative_record_folds():
+            out = mod.run("entry", ctx=ctx)
         if hasattr(out, "global_view"):
             return [out], []
         return [], [out]

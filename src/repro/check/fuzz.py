@@ -10,7 +10,13 @@ skeleton calls) and checks two properties:
 2. **instantiation preserves meaning** — the compiled program (parse →
    typecheck → instantiate → codegen → exec on a simulated machine)
    computes the same result as the direct AST interpreter
-   (:mod:`repro.check.interp`), for several processor counts;
+   (:mod:`repro.check.interp`), for several processor counts.  An
+   ``argfold`` op folds an array into a 2-field struct with a selective
+   argmax/argmin (ties broken by position, optionally an eligibility
+   guard on a lifted bound or on a third, ``int`` flag field), which
+   checks the vectorizer's record tournament against the interpreter's
+   sequential left fold across shapes, distributions and processor
+   counts;
 3. **skeleton fusion preserves meaning** — compiling the same source
    with the discovery & fusion pass forced on yields results equal to
    the pass forced off at every processor count (exact equality: the
@@ -33,6 +39,8 @@ from __future__ import annotations
 import random
 import time
 import traceback
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,7 +48,8 @@ import numpy as np
 from repro.check.interp import Interp, InterpArray
 from repro.check.report import CheckResult, Failure
 
-__all__ = ["ProgramSpec", "generate_spec", "render", "run_trial", "run_fuzz"]
+__all__ = ["ProgramSpec", "generate_spec", "render", "run_trial", "run_fuzz",
+           "associative_record_folds"]
 
 _MOD = 9973  #: bound for integer kernel results (prime, < 2**14)
 
@@ -59,7 +68,7 @@ class KernelSpec:
 
 @dataclass
 class OpSpec:
-    kind: str  #: "map" | "zip" | "copy" | "scan" | "fold" | "chain" | "destroy"
+    kind: str  #: "map" | "zip" | "copy" | "scan" | "fold" | "chain" | "argfold"
     args: tuple = ()
 
 
@@ -260,6 +269,25 @@ def generate_spec(seed: int) -> ProgramSpec:
                 (i, rng.choice(convs).name, rng.choice(combiners), rng.choice(arrays)),
             )
         )
+    # the record family draws from its own stream so that adding it left
+    # every other family's programs unchanged for the same seed
+    arng = random.Random(f"argfold-{seed}")
+    if not spec.return_array and arng.random() < 0.4:
+        total = int(np.prod(shape))
+        spec.ops.append(
+            OpSpec(
+                "argfold",
+                (
+                    arng.choice(arrays),
+                    arng.random() < 0.5,  # key on abs (val)
+                    arng.choice([">", "<"]),  # argmax / argmin
+                    arng.choice(["<=", ">="]),  # ties: first / last position
+                    # guard: none, a lifted position bound, or an int flag
+                    # field whose values 1 and 2 must both read as true
+                    arng.choice([None, arng.randrange(total), "flag"]),
+                ),
+            )
+        )
     return spec
 
 
@@ -288,6 +316,8 @@ def _used_arrays(spec: ProgramSpec) -> set[int]:
             used.add(op.args[3])
         elif op.kind == "chain":
             used.update(op.args[4:6])
+        elif op.kind == "argfold":
+            used.add(op.args[0])
     if spec.return_array:
         used.add(0)
     if not used:
@@ -310,6 +340,47 @@ def _used_kernels(spec: ProgramSpec) -> set[str]:
     return used
 
 
+def _argfold_op(spec: ProgramSpec) -> OpSpec | None:
+    return next((op for op in spec.ops if op.kind == "argfold"), None)
+
+
+def _render_argfold_decls(spec: ProgramSpec, op: OpSpec) -> list[str]:
+    """The record type, its conversion kernel and the selective fold."""
+    _, key_abs, cmp_op, tie, guard = op.args
+    flag = guard == "flag"
+    pos = "ix[0]" if spec.dim == 1 else f"ix[0] * {spec.shape[1]} + ix[1]"
+    key = "abs ({}.val)" if key_abs else "{}.val"
+    kx, ky = key.format("x"), key.format("y")
+    lifted = "int lim, " if guard is not None and not flag else ""
+    lines = [
+        f"struct _arec {{{spec.elem} val; int pos;{' int ok;' if flag else ''}}};",
+        "typedef struct _arec arec;",
+        "arec mkrec (" + spec.elem + " v, Index ix) {",
+        "  arec r;",
+        "  r.val = v;",
+        f"  r.pos = {pos};",
+    ]
+    if flag:
+        lines.append(f"  r.ok = ({pos}) % 3;")
+    lines += [
+        "  return r;",
+        "}",
+        f"arec pickrec ({lifted}arec x, arec y) {{",
+    ]
+    if flag:
+        lines += ["  if (x.ok && !y.ok) return x;", "  if (!x.ok) return y;"]
+    elif guard is not None:
+        lines += ["  if (x.pos < lim) return y;", "  if (y.pos < lim) return x;"]
+    lines += [
+        f"  if ({kx} {cmp_op} {ky}) return x;",
+        f"  if ({ky} {cmp_op} {kx}) return y;",
+        f"  if (x.pos {tie} y.pos) return x;",
+        "  return y;",
+        "}",
+    ]
+    return lines
+
+
 def render(spec: ProgramSpec) -> str:
     """Deterministically render a spec to Skil source text."""
     elem = spec.elem
@@ -317,6 +388,9 @@ def render(spec: ProgramSpec) -> str:
     if spec.use_pardata:
         lines.append("pardata dvec <$t>;")
         lines.append("")
+    argfold = _argfold_op(spec)
+    if argfold is not None:
+        lines += _render_argfold_decls(spec, argfold)
 
     used_k = _used_kernels(spec)
     for k in spec.kernels:
@@ -354,6 +428,8 @@ def render(spec: ProgramSpec) -> str:
         lines.append(f"  {elem} {v};")
     if use_hof:
         lines.append(f"  {elem} t0;")
+    if argfold is not None:
+        lines.append("  arec r0;")
 
     size = "{" + ", ".join(str(s) for s in spec.shape) + "}"
     zeros = "{" + ", ".join("0" for _ in spec.shape) + "}"
@@ -395,19 +471,26 @@ def render(spec: ProgramSpec) -> str:
             lines.append(f"  array_map ({f1}, a{src}, c{cid});")
             lines.append(f"  array_map ({f2}, c{cid}, a{dst});")
             lines.append(f"  array_destroy (c{cid});")
+        elif op.kind == "argfold":
+            arr, guard = op.args[0], op.args[4]
+            pick = "pickrec" if guard in (None, "flag") else f"pickrec ({guard})"
+            lines.append(f"  r0 = array_fold (mkrec, {pick}, a{arr});")
 
     if spec.return_array:
         for i in used_a[1:]:
             lines.append(f"  array_destroy (a{i});")
         lines.append("  return a0;")
     else:
+        # the record's value and its (unique) position, both observable
+        terms = ["(r0.val * 64 + r0.pos)"] if argfold is not None else []
         if use_hof:
             lines.append(f"  t0 = combine ((+), {fold_vars[0]}, {fold_vars[1]});")
             for v in fold_vars[2:]:
                 lines.append(f"  t0 = combine (min, t0, {v});")
-            lines.append("  return t0;")
-        elif fold_vars:
-            expr = " + ".join(fold_vars)
+            lines.append(f"  return ({' + '.join(['t0'] + terms)});"
+                         if terms else "  return t0;")
+        elif fold_vars or terms:
+            expr = " + ".join(fold_vars + terms)
             lines.append(f"  return ({expr});")
         else:
             lines.append("  return 0;" if elem == "int" else "  return 0.0;")
@@ -516,6 +599,20 @@ def _check_source(src: str, elem: str, ps: tuple[int, ...]) -> str | None:
     return None
 
 
+@contextmanager
+def associative_record_folds():
+    """Silence ``array_fold``'s missing-associativity warning.
+
+    ``pickrec`` is associative by construction, but Skil has no way to
+    declare it, so every generated record fold would warn.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "array_fold: the folding function", UserWarning
+        )
+        yield
+
+
 def run_trial(seed: int) -> tuple[str, str] | None:
     """One fuzz trial.  Returns None on success, (stage, detail) on failure."""
     spec = generate_spec(seed)
@@ -530,7 +627,7 @@ def _run_spec(spec: ProgramSpec) -> tuple[str, str] | None:
     try:
         # the compiler front end reports into the process-global
         # registry; isolate it so trials don't leak into each other
-        with isolated_metrics():
+        with isolated_metrics(), associative_record_folds():
             msg = _check_source(src, spec.elem, ps)
     except Exception:
         return ("exception", traceback.format_exc(limit=8))

@@ -10,12 +10,13 @@ property the fuzzer checks: instantiation must not change meaning.
 
 Scope: the interpreter covers the language subset the fuzzer generates
 (scalar arithmetic, conditionals, loops, HOFs, currying, operator
-sections, the data-parallel skeletons on global numpy arrays).  Kernel
-arguments are applied per element in row-major order, which matches the
-distributed skeletons exactly for elementwise operations and up to
-reassociation for reductions — hence the fuzzer restricts fold/scan
-combiners to exact associative-commutative operators on integers, and
-the driver compares floating point with a tolerance.
+sections, struct records as field dicts, the data-parallel skeletons on
+global numpy arrays).  Kernel arguments are applied per element in
+row-major order, which matches the distributed skeletons exactly for
+elementwise operations and up to reassociation for reductions — hence
+the fuzzer restricts fold/scan combiners to exact
+associative-commutative operators on integers, and compares floating
+point with a tolerance.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from repro.lang import ast as A
 from repro.lang import runtime as _rt
 from repro.lang.typecheck import CheckedProgram
-from repro.lang.types import TFun, TPardata, TPrim
+from repro.lang.types import TFun, TPardata, TPrim, TStruct
 
 __all__ = ["Interp", "InterpArray", "InterpUnsupported"]
 
@@ -175,7 +176,9 @@ class Interp:
             for x in s.stmts:
                 self._exec(x, env)
         elif isinstance(s, A.VarDecl):
-            env[s.name] = self._eval(s.init, env) if s.init is not None else None
+            env[s.name] = (
+                self._eval(s.init, env) if s.init is not None else self._zero(s.ty)
+            )
         elif isinstance(s, A.If):
             if self._truth(self._eval(s.cond, env)):
                 self._exec(s.then, env)
@@ -207,6 +210,18 @@ class Interp:
             self._eval(s.expr, env)
         else:
             raise InterpUnsupported(f"statement {type(s).__name__}")
+
+    def _zero(self, t):
+        """A declared-but-uninitialised local: a zeroed record (a fresh
+        field dict, as the runtime's ``new_struct``) or nothing."""
+        t = self.checked.resolved(t)
+        if not isinstance(t, TStruct):
+            return None
+        return {
+            f: 0 if isinstance(ft, TPrim) and ft.name in ("int", "unsigned", "char")
+            else 0.0
+            for f, ft in t.fields
+        }
 
     @staticmethod
     def _truth(v) -> bool:
@@ -289,6 +304,12 @@ class Interp:
 
     def _assign(self, e: A.Assign, env: dict):
         v = self._eval(e.value, env)
+        if isinstance(e.target, A.Member) and e.op == "=":
+            record = self._eval(e.target.base, env)
+            if not isinstance(record, dict):
+                raise InterpUnsupported("field store on a non-record")
+            record[e.target.name] = v
+            return v
         if not isinstance(e.target, A.Ident):
             raise InterpUnsupported("assignment to a non-identifier")
         name = e.target.name

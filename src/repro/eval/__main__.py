@@ -48,6 +48,7 @@ from repro.eval.cliopts import (
     obs_parent,
     representative_obs_run,
     require_positive,
+    require_square_p,
     run_target_parent,
     validate_fusion_flags,
     validate_profile_flags,
@@ -198,6 +199,7 @@ def _main(argv: list[str]) -> int:
     if args.what in ("trace", "analyze", "profile"):
         require_positive("--p", args.p)
         require_positive("--n", args.n)
+        require_square_p(args.app, args.p)
     if args.what == "profile":
         # the profile subcommand always profiles; --profile-out alone is
         # legal here and doubles as --json-out

@@ -70,6 +70,7 @@ the same no-drift reason.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 
 from repro.errors import UsageError
@@ -80,6 +81,7 @@ __all__ = [
     "obs_parent",
     "representative_obs_run",
     "require_positive",
+    "require_square_p",
     "run_target_parent",
     "validate_fusion_flags",
     "validate_profile_flags",
@@ -180,6 +182,15 @@ def require_positive(flag: str, value: int | None) -> None:
     """Reject nonpositive count-like flag values with a clear message."""
     if value is not None and value <= 0:
         raise UsageError(f"{flag} must be a positive integer, got {value}")
+
+
+def require_square_p(app: str, p: int) -> None:
+    """shpaths runs on a square processor grid: ``p`` must be ``g*g``."""
+    if app == "shpaths" and math.isqrt(p) ** 2 != p:
+        raise UsageError(
+            f"--app shpaths needs a square --p (p = g*g: 1, 4, 9, 16, ...), "
+            f"got {p}"
+        )
 
 
 def validate_profile_flags(args) -> None:

@@ -18,6 +18,9 @@ Conventions of the generated module:
   ``_rt.make_kernel(<instance>, (<lifted args>), ops=<estimate>)`` — the
   default-argument binding inside ``make_kernel`` is the run-time shape
   of argument lifting;
+* the vectorizer pass (:mod:`repro.lang.vectorize`) appends numpy
+  versions of kernels in its subset, attached as ``<fn>.vectorized``
+  (element kernels) or ``<fn>.selective`` (selective struct folds);
 * a :class:`~repro.lang.instantiate.SectionRef` becomes
   ``_rt.section('<op>')``, carrying the numpy-annotated operator object.
 """
@@ -89,21 +92,21 @@ class _Emitter:
         return self.buf.getvalue()
 
     def _emit_vectorized_kernels(self) -> None:
-        """Attach numpy kernels produced by the vectorizer pass."""
+        """Attach numpy kernels (``.vectorized``) and fold selections
+        (``.selective``) produced by the vectorizer pass."""
         from repro.lang.vectorize import try_vectorize
 
         emitted = []
         for inst in self.prog.instances.values():
             src = try_vectorize(inst, self.prog.checked.resolved)
             if src is not None:
-                emitted.append((inst.name, src))
+                emitted.append(src)
         if not emitted:
             return
         self.line("# ---- vectorized kernels (compiler optimisation pass) ----")
-        for name, src in emitted:
+        for src in emitted:
             for ln in src.rstrip("\n").split("\n"):
                 self.line(ln)
-            self.line(f"{name}.vectorized = _vec_{name}")
             self.line()
 
     def function(self, f: A.FuncDef) -> None:

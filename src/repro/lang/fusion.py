@@ -339,6 +339,12 @@ def _stmts_to_expr(stmts: list[A.Stmt], env: dict[str, A.Expr]) -> A.Expr:
 
 
 # ------------------------------------------------------------------- the pass
+def _vectorizes_env_free(inst: Instance, resolved) -> bool:
+    """The vectorizer accepts *inst* as an env-free element kernel."""
+    src = try_vectorize(inst, resolved)
+    return src is not None and f"_vec_{inst.name}.env_free = True\n" in src
+
+
 class _Fuser:
     def __init__(self, prog: InstantiatedProgram, no_fuse_lines) -> None:
         self.prog = prog
@@ -533,8 +539,7 @@ class _Fuser:
         # stay env-free, i.e. remain eligible for fused dispatch — else
         # the "one big kernel" would run scalar and the fusion would cost
         # wall-clock instead of saving rounds
-        src = try_vectorize(inst, resolved)
-        if src is None or not src.rstrip().endswith("env_free = True"):
+        if not _vectorizes_env_free(inst, resolved):
             return None
         self.prog.instances[name] = inst
         self.prog.report.setdefault("__fused__", []).append(name)
@@ -1079,8 +1084,7 @@ class _Fuser:
     ) -> Optional[KernelRef]:
         """Gate + register a synthesized (discovery) kernel."""
         inst = Instance(fdef.name, fdef.name, fdef, (), kernel_elems=n_elems)
-        src = try_vectorize(inst, self.prog.checked.resolved)
-        if src is None or not src.rstrip().endswith("env_free = True"):
+        if not _vectorizes_env_free(inst, self.prog.checked.resolved):
             return None
         self.prog.instances[fdef.name] = inst
         self.prog.report.setdefault("__fused__", []).append(fdef.name)

@@ -46,6 +46,8 @@ __all__ = [
     "struct_dtype",
     "register_struct",
     "new_struct",
+    "struct_zeros",
+    "select_reduce",
     "log2",
     "sqrt",
     "c_div",
@@ -128,29 +130,62 @@ def make_kernel(fn, bound: tuple = (), ops: float = 1.0):
     The default-argument binding below is the Python shape of the
     paper's argument lifting: no closure object is created per element
     application, the bound values are plain leading parameters.
+
+    A selective fold function (``fn.selective``, see
+    :mod:`repro.lang.vectorize`) gets a ``reduce_all`` that folds a whole
+    converted block with :func:`select_reduce`; ``array_fold`` uses it
+    for each processor's local fold.
     """
     vec = getattr(fn, "vectorized", None)
+    sel = getattr(fn, "selective", None)
     if not bound:
-        def kernel0(*rest, _fn=fn):
+        def kernel(*rest, _fn=fn):
             return _fn(*rest)
 
-        kernel0.ops = float(ops)
-        kernel0.__name__ = getattr(fn, "__name__", "kernel")
+        kernel.__name__ = getattr(fn, "__name__", "kernel")
         if vec is not None:
-            kernel0.vectorized = vec
-        return kernel0
+            kernel.vectorized = vec
+    else:
+        def kernel(*rest, _fn=fn, _bound=tuple(bound)):
+            return _fn(*_bound, *rest)
 
-    def kernel(*rest, _fn=fn, _bound=tuple(bound)):
-        return _fn(*_bound, *rest)
-
+        kernel.__name__ = getattr(fn, "__name__", "kernel") + "_lifted"
+        if vec is not None:
+            kernel.vectorized = lambda *rest, _v=vec, _b=tuple(bound): _v(*_b, *rest)
+            env_free = getattr(vec, "env_free", None)
+            if env_free is not None:
+                kernel.vectorized.env_free = env_free
     kernel.ops = float(ops)
-    kernel.__name__ = getattr(fn, "__name__", "kernel") + "_lifted"
-    if vec is not None:
-        kernel.vectorized = lambda *rest, _v=vec, _b=tuple(bound): _v(*_b, *rest)
-        env_free = getattr(vec, "env_free", None)
-        if env_free is not None:
-            kernel.vectorized.env_free = env_free
+    if sel is not None:
+        kernel.reduce_all = lambda flat, _s=sel, _b=tuple(bound): (
+            select_reduce(_s, _b, flat)
+        )
     return kernel
+
+
+def select_reduce(select, bound: tuple, flat: np.ndarray):
+    """Fold a converted block with a selective fold function ``f``.
+
+    ``select(*bound, x, y)`` is the generated selection mask: per pair of
+    records (given as dicts of field arrays), true where ``f(x, y)``
+    returns ``x``.  Records meet in an order-preserving pairwise
+    tournament — pairs (0, 1), (2, 3), ... with an odd tail carried to
+    the next round — which re-parenthesizes the sequential left fold and
+    equals it for an associative ``f`` (``array_fold``'s contract).
+    The winner is gathered from *flat* — a non-empty structured block —
+    as a 0-d record, like the scalar path returns.
+    """
+    cols = [(name, flat[name]) for name in flat.dtype.names]
+    idx = np.arange(flat.size)
+    fields = dict(cols)
+    while idx.size > 1:
+        even = idx.size & ~1
+        x = {name: col[0:even:2] for name, col in fields.items()}
+        y = {name: col[1:even:2] for name, col in fields.items()}
+        won = np.where(select(*bound, x, y), idx[0:even:2], idx[1:even:2])
+        idx = won if even == idx.size else np.concatenate((won, idx[-1:]))
+        fields = {name: col[idx] for name, col in cols}
+    return np.array(flat[idx[0]])
 
 
 def min_fn(x, y):
@@ -255,8 +290,7 @@ def dtype_of(name: str) -> np.dtype:
         raise SkilRuntimeError(f"no numpy dtype for Skil type {name!r}") from None
 
 
-def register_struct(name: str, fields: list[tuple[str, str]]) -> None:
-    """Register a struct declaration as a numpy structured dtype."""
+def _record_dtype(fields, name: str = "") -> np.dtype:
     np_fields = []
     for fname, ftype in fields:
         if ftype not in _FIELD_DTYPES:
@@ -264,7 +298,12 @@ def register_struct(name: str, fields: list[tuple[str, str]]) -> None:
                 f"struct {name}: field {fname!r} has unsupported type {ftype!r}"
             )
         np_fields.append((fname, _FIELD_DTYPES[ftype]))
-    _STRUCT_DTYPES[name] = np.dtype(np_fields)
+    return np.dtype(np_fields)
+
+
+def register_struct(name: str, fields: list[tuple[str, str]]) -> None:
+    """Register a struct declaration as a numpy structured dtype."""
+    _STRUCT_DTYPES[name] = _record_dtype(fields, name)
 
 
 def struct_dtype(name: str) -> np.dtype:
@@ -276,6 +315,19 @@ def struct_dtype(name: str) -> np.dtype:
 
 def new_struct(name: str):
     return np.zeros((), dtype=struct_dtype(name))
+
+
+def struct_zeros(fields: tuple[tuple[str, str], ...], blocks: tuple, grids):
+    """A zeroed structured block for a vectorized struct-valued kernel.
+
+    Shaped like the kernel's element blocks and index grids broadcast
+    together; fields the kernel never assigns stay zero, as
+    :func:`new_struct` leaves them.  The dtype comes from the field list
+    the compiler emitted rather than the struct registry, so a kernel
+    shipped to a worker process needs no registration there.
+    """
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (*blocks, *grids)))
+    return np.zeros(shape, dtype=_record_dtype(fields))
 
 
 # ---------------------------------------------------------------------------

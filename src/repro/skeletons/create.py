@@ -64,7 +64,7 @@ def array_create(
     blocks = fuse.dispatch_blocks(
         ctx,
         getattr(init_elem, "vectorized", None),
-        [(arr.index_grids(r), fenv) for r in range(ctx.p)],
+        lambda: [(arr.index_grids(r), fenv) for r in range(ctx.p)],
     )
     if blocks is not None:
         for r in range(ctx.p):

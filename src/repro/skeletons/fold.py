@@ -57,9 +57,14 @@ def _converted_partition(ctx, conv_f, a: DistArray, rank: int) -> np.ndarray:
 
 def _local_fold(fold_f, values: np.ndarray):
     flat = values.ravel()
-    reducer = getattr(fold_f, "reduce_all", None)
-    if reducer is not None:
-        return reducer(flat)
+    if flat.dtype.names is not None:
+        # records of a vectorized struct-valued conversion
+        reducer = getattr(fold_f, "reduce_all", None)
+        if reducer is not None:
+            return reducer(flat)
+        # fold them as the 0-d structs the scalar conversion makes
+        # (tolist() would hand the folding function plain tuples)
+        return reduce(fold_f, [np.array(rec) for rec in flat])
     np_reduce = getattr(fold_f, "np_reduce", None)
     if np_reduce is not None and flat.dtype != object:
         return np_reduce(flat)
@@ -94,7 +99,7 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
         converted = fuse.dispatch_blocks(
             ctx,
             getattr(conv_f, "vectorized", None),
-            [(a.local(r), a.index_grids(r), fenv) for r in range(ctx.p)],
+            lambda: [(a.local(r), a.index_grids(r), fenv) for r in range(ctx.p)],
         )
         conv_global = (
             None

@@ -157,14 +157,18 @@ def remember_fusability(vec: Callable, ok: bool) -> None:
         pass
 
 
-def dispatch_blocks(ctx, vec: Callable | None, tasks: list[tuple]) -> list | None:
+def dispatch_blocks(
+    ctx, vec: Callable | None, make_tasks: Callable[[], list[tuple]]
+) -> list | None:
     """Run *vec* over per-rank task tuples on the machine's real backend.
 
-    ``tasks[r]`` is the argument tuple of rank *r* — exactly what the
-    sequential per-rank loop would pass, except the env slot holds a
+    ``make_tasks()`` returns one argument tuple per rank — exactly what
+    the sequential per-rank loop would pass, except the env slot holds a
     :class:`FusedEnv` (parallel workers must not see a per-rank
-    ``MapEnv``; this is the env_free audit).  Returns the raw kernel
-    outputs in rank order, or ``None`` when the work stays sequential:
+    ``MapEnv``; this is the env_free audit).  It is called only once the
+    work is known to dispatch, so the default ``sim`` backend never pays
+    for building p task tuples.  Returns the raw kernel outputs in rank
+    order, or ``None`` when the work stays sequential:
 
     * the backend is ``sim`` (``backend.parallel`` is false),
     * the kernel is not *known* env-free (``kernel_fusability`` is not
@@ -189,7 +193,7 @@ def dispatch_blocks(ctx, vec: Callable | None, tasks: list[tuple]) -> list | Non
     if kernel_fusability(vec) is not True:
         return None
     try:
-        return backend.run_blocks(vec, tasks)
+        return backend.run_blocks(vec, make_tasks())
     except FusionFallback:
         return None
 

@@ -127,14 +127,16 @@ def dispatch_blocks(ctx, f, srcs: tuple, to_arr: DistArray) -> bool:
     when the work stayed sequential.  No clocks are touched here — the
     caller charges the same cost vector as the sequential paths.
     """
-    vec = getattr(f, "vectorized", None)
     lead = srcs[0]
     fenv = fuse.FusedEnv(ctx.p)
-    tasks = [
-        tuple(s.local(r) for s in srcs) + (lead.index_grids(r), fenv)
-        for r in range(ctx.p)
-    ]
-    outs = fuse.dispatch_blocks(ctx, vec, tasks)
+    outs = fuse.dispatch_blocks(
+        ctx,
+        getattr(f, "vectorized", None),
+        lambda: [
+            tuple(s.local(r) for s in srcs) + (lead.index_grids(r), fenv)
+            for r in range(ctx.p)
+        ],
+    )
     if outs is None:
         return False
     results = [

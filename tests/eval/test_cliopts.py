@@ -76,6 +76,14 @@ class TestUsageValidation:
         assert "--p must be a positive integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("sub", ["trace", "analyze", "profile"])
+    def test_shpaths_on_nonsquare_p_is_a_clean_usage_error(self, sub, capsys):
+        rc = main([sub, "--app", "shpaths", "--p", "8", "--n", "16"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "shpaths needs a square --p" in err
+        assert "Traceback" not in err
+
     def test_nonpositive_workers_is_a_clean_usage_error(self, capsys):
         rc = main(["trace", "--app", "shpaths", "--p", "4", "--n", "8",
                    "--workers", "0"])
