@@ -103,7 +103,11 @@ class MaxAbsInCol:
             return x if ax > ay else y
         return x if x["row"] <= y["row"] else y
 
-    def reduce_all(self, flat: np.ndarray):
+    def reduce_all(self, rows: list) -> list:
+        """The local folds of all partitions (``array_fold``'s hook)."""
+        return [self._reduce_partition(flat) for flat in rows]
+
+    def _reduce_partition(self, flat: np.ndarray):
         mask = (flat["col"] == self.k) & (flat["row"] >= self.k)
         if not mask.any():
             rec = np.zeros((), dtype=ELEMREC)

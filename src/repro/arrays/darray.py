@@ -21,6 +21,7 @@ exactly as in the paper.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -238,13 +239,17 @@ class DistArray:
         self._check_alive()
         return self.dist.index_grids(rank)
 
-    def iter_local_indices(self, rank: int):
-        """Iterate ``(local_index, global_index)`` pairs of a partition —
-        the elementwise traversal the scalar skeleton paths use, valid
-        for every distribution kind."""
-        vecs = self.local_index_vectors(rank)
-        for local_ix in np.ndindex(*(len(v) for v in vecs)):
-            yield local_ix, tuple(int(v[i]) for v, i in zip(vecs, local_ix))
+    def element_indices(self, rank: int):
+        """Global index tuples (of Python ints) of the partition of
+        *rank*, in C (row-major) order — the order of ``local(rank).flat``.
+
+        The elementwise traversal of the scalar skeleton paths, valid for
+        every distribution kind: one ``itertools.product`` over the
+        per-dimension index lists, so no per-element numpy indexing.
+        """
+        return itertools.product(
+            *(v.tolist() for v in self.local_index_vectors(rank))
+        )
 
     # ------------------------------------------------------------------ global
     def global_view(self) -> np.ndarray:

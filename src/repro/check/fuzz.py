@@ -16,7 +16,10 @@ skeleton calls) and checks two properties:
    guard on a lifted bound or on a third, ``int`` flag field), which
    checks the vectorizer's record tournament against the interpreter's
    sequential left fold across shapes, distributions and processor
-   counts;
+   counts (ragged partitions included); an ``sinit`` op creates a
+   ``float``, ``int`` or ``unsigned`` array through an init kernel with
+   a loop, which the vectorizer leaves scalar, and folds it — the
+   per-element traversal of ``array_create``;
 3. **skeleton fusion preserves meaning** — compiling the same source
    with the discovery & fusion pass forced on yields results equal to
    the pass forced off at every processor count (exact equality: the
@@ -68,7 +71,7 @@ class KernelSpec:
 
 @dataclass
 class OpSpec:
-    kind: str  #: "map" | "zip" | "copy" | "scan" | "fold" | "chain" | "argfold"
+    kind: str  #: "map" | "zip" | "copy" | "scan" | "fold" | "chain" | "argfold" | "sinit"
     args: tuple = ()
 
 
@@ -288,6 +291,20 @@ def generate_spec(seed: int) -> ProgramSpec:
                 ),
             )
         )
+    # scalar-init creates: also their own stream
+    srng = random.Random(f"sinit-{seed}")
+    if not spec.return_array and srng.random() < 0.3:
+        spec.ops.append(
+            OpSpec(
+                "sinit",
+                (
+                    srng.choice(["float", "int", "unsigned"]),
+                    srng.randint(1, 9),  # index multiplier
+                    srng.randint(5, 13),  # modulus
+                    srng.randint(2, 4),  # loop trips
+                ),
+            )
+        )
     return spec
 
 
@@ -344,6 +361,28 @@ def _argfold_op(spec: ProgramSpec) -> OpSpec | None:
     return next((op for op in spec.ops if op.kind == "argfold"), None)
 
 
+def _sinit_op(spec: ProgramSpec) -> OpSpec | None:
+    return next((op for op in spec.ops if op.kind == "sinit"), None)
+
+
+def _render_sinit_decls(spec: ProgramSpec, op: OpSpec) -> list[str]:
+    """An init kernel outside the vectorizer's subset (a loop) and the
+    identity conversion its fold needs.  Values are small non-negative
+    integers, exact in every element type."""
+    t, mult, mod, trips = op.args
+    last = f"ix[{spec.dim - 1}]"
+    return [
+        f"{t} sinit (Index ix) {{",
+        f"  {t} s = 0;",
+        "  int i;",
+        f"  for (i = 0; i < {trips}; i++) "
+        f"s = s + (ix[0] * {mult} + {last} + i) % {mod};",
+        "  return s;",
+        "}",
+        f"{t} sid ({t} v, Index ix) {{ return v; }}",
+    ]
+
+
 def _render_argfold_decls(spec: ProgramSpec, op: OpSpec) -> list[str]:
     """The record type, its conversion kernel and the selective fold."""
     _, key_abs, cmp_op, tie, guard = op.args
@@ -391,6 +430,9 @@ def render(spec: ProgramSpec) -> str:
     argfold = _argfold_op(spec)
     if argfold is not None:
         lines += _render_argfold_decls(spec, argfold)
+    sinit = _sinit_op(spec)
+    if sinit is not None:
+        lines += _render_sinit_decls(spec, sinit)
 
     used_k = _used_kernels(spec)
     for k in spec.kernels:
@@ -430,6 +472,9 @@ def render(spec: ProgramSpec) -> str:
         lines.append(f"  {elem} t0;")
     if argfold is not None:
         lines.append("  arec r0;")
+    if sinit is not None:
+        lines.append(f"  array<{sinit.args[0]}> s0;")
+        lines.append(f"  {sinit.args[0]} g0;")
 
     size = "{" + ", ".join(str(s) for s in spec.shape) + "}"
     zeros = "{" + ", ".join("0" for _ in spec.shape) + "}"
@@ -475,6 +520,13 @@ def render(spec: ProgramSpec) -> str:
             arr, guard = op.args[0], op.args[4]
             pick = "pickrec" if guard in (None, "flag") else f"pickrec ({guard})"
             lines.append(f"  r0 = array_fold (mkrec, {pick}, a{arr});")
+        elif op.kind == "sinit":
+            lines.append(
+                f"  s0 = array_create ({spec.dim}, {size}, {zeros}, {negs}, "
+                f"sinit, {spec.distr});"
+            )
+            lines.append("  g0 = array_fold (sid, (+), s0);")
+            lines.append("  array_destroy (s0);")
 
     if spec.return_array:
         for i in used_a[1:]:
@@ -483,6 +535,8 @@ def render(spec: ProgramSpec) -> str:
     else:
         # the record's value and its (unique) position, both observable
         terms = ["(r0.val * 64 + r0.pos)"] if argfold is not None else []
+        if sinit is not None:
+            terms.append(f"(({elem}) g0)")
         if use_hof:
             lines.append(f"  t0 = combine ((+), {fold_vars[0]}, {fold_vars[1]});")
             for v in fold_vars[2:]:
@@ -613,6 +667,32 @@ def associative_record_folds():
         yield
 
 
+def _trial_ps(spec: ProgramSpec) -> tuple[int, ...]:
+    """The processor counts a trial runs its program on."""
+    return (1, 2) if spec.seed % 2 == 0 else (1, 3 if spec.dim == 1 else 4)
+
+
+def _coverage_keys(spec: ProgramSpec) -> list[str]:
+    """What a passing trial exercised: its ops, whether its record fold
+    met partitions of unequal size, and its scalar-init element type."""
+    from repro.arrays.darray import default_grid
+    from repro.arrays.distribution import BlockDistribution
+    from repro.machine.machine import Machine
+
+    keys = [f"op.{op.kind}" for op in spec.ops]
+    if _argfold_op(spec) is not None:
+        for p in _trial_ps(spec):
+            grid = default_grid(Machine(p), spec.dim, spec.distr)
+            sizes = BlockDistribution(spec.shape, grid).part_sizes()
+            if sizes.min() != sizes.max():
+                keys.append("argfold.ragged")
+                break
+    sinit = _sinit_op(spec)
+    if sinit is not None:
+        keys.append(f"create.scalar.{sinit.args[0]}")
+    return keys
+
+
 def run_trial(seed: int) -> tuple[str, str] | None:
     """One fuzz trial.  Returns None on success, (stage, detail) on failure."""
     spec = generate_spec(seed)
@@ -623,7 +703,7 @@ def _run_spec(spec: ProgramSpec) -> tuple[str, str] | None:
     from repro.obs.metrics import isolated_metrics
 
     src = render(spec)
-    ps = (1, 2) if spec.seed % 2 == 0 else (1, 3 if spec.dim == 1 else 4)
+    ps = _trial_ps(spec)
     try:
         # the compiler front end reports into the process-global
         # registry; isolate it so trials don't leak into each other
@@ -708,9 +788,8 @@ def run_fuzz(
         res.trials += 1
         out = run_trial(trial_seed)
         if out is None:
-            spec = generate_spec(trial_seed)
-            for op in spec.ops:
-                res.coverage[f"op.{op.kind}"] = res.coverage.get(f"op.{op.kind}", 0) + 1
+            for key in _coverage_keys(generate_spec(trial_seed)):
+                res.coverage[key] = res.coverage.get(key, 0) + 1
             continue
         stage, detail = out
         minimal = shrink(generate_spec(trial_seed), stage)

@@ -9,6 +9,7 @@ test: a run whose *result* is wrong never reports a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +60,30 @@ def _context(language: str, p: int) -> SkilContext:
     raise SkilError(f"unknown skeleton language {language!r}")
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# every language of a table cell runs on the same input and is checked
+# against the same oracle: build both once per (n, seed).  The cached
+# arrays are read-only, so a driver that writes its input fails loudly
+# instead of corrupting the next language's run.
+@lru_cache(maxsize=8)
+def _shpaths_case(n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(distance matrix, shortest-paths oracle) of one Table 1 input."""
+    dist = random_distance_matrix(n, density=0.25, seed=seed)
+    return _read_only(dist, shortest_paths_oracle(dist))
+
+
+@lru_cache(maxsize=8)
+def _gauss_case(n: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(matrix, right-hand side, reference solution) of one Table 2 input."""
+    a_mat, rhs = random_system(n, seed=seed)
+    return _read_only(a_mat, rhs, np.linalg.solve(a_mat, rhs))
+
+
 def run_shpaths(language: str, p: int, n: int = 200, seed: int = 0) -> ExperimentResult:
     """One Table 1 cell: shortest paths for an n-node graph on p procs.
 
@@ -67,8 +92,7 @@ def run_shpaths(language: str, p: int, n: int = 200, seed: int = 0) -> Experimen
     """
     g = Machine(p).mesh.rows  # square grid side
     n_eff = round_up_to_grid(n, g)
-    dist = random_distance_matrix(n_eff, density=0.25, seed=seed)
-    oracle = shortest_paths_oracle(dist)
+    dist, oracle = _shpaths_case(n_eff, seed)
 
     if language in ("parix-c", "parix-c-old"):
         old = language == "parix-c-old"
@@ -96,8 +120,7 @@ def run_gauss(
     this version had been implemented in DPFL and we wanted to make a
     fair comparison").
     """
-    a_mat, rhs = random_system(n, seed=seed)
-    x_ref = np.linalg.solve(a_mat, rhs)
+    a_mat, rhs, x_ref = _gauss_case(n, seed)
 
     if language in ("parix-c", "parix-c-old"):
         if full:

@@ -132,9 +132,9 @@ def make_kernel(fn, bound: tuple = (), ops: float = 1.0):
     application, the bound values are plain leading parameters.
 
     A selective fold function (``fn.selective``, see
-    :mod:`repro.lang.vectorize`) gets a ``reduce_all`` that folds a whole
-    converted block with :func:`select_reduce`; ``array_fold`` uses it
-    for each processor's local fold.
+    :mod:`repro.lang.vectorize`) gets a ``reduce_all`` that folds the
+    converted blocks of all processors with :func:`select_reduce`;
+    ``array_fold`` uses it for the local folds.
     """
     vec = getattr(fn, "vectorized", None)
     sel = getattr(fn, "selective", None)
@@ -157,35 +157,60 @@ def make_kernel(fn, bound: tuple = (), ops: float = 1.0):
                 kernel.vectorized.env_free = env_free
     kernel.ops = float(ops)
     if sel is not None:
-        kernel.reduce_all = lambda flat, _s=sel, _b=tuple(bound): (
-            select_reduce(_s, _b, flat)
+        kernel.reduce_all = lambda rows, _s=sel, _b=tuple(bound): (
+            select_reduce(_s, _b, rows)
         )
     return kernel
 
 
-def select_reduce(select, bound: tuple, flat: np.ndarray):
-    """Fold a converted block with a selective fold function ``f``.
+def select_reduce(select, bound: tuple, rows: list) -> list:
+    """Fold each row of a batch with a selective fold function ``f``.
 
-    ``select(*bound, x, y)`` is the generated selection mask: per pair of
-    records (given as dicts of field arrays), true where ``f(x, y)``
-    returns ``x``.  Records meet in an order-preserving pairwise
-    tournament — pairs (0, 1), (2, 3), ... with an odd tail carried to
-    the next round — which re-parenthesizes the sequential left fold and
-    equals it for an associative ``f`` (``array_fold``'s contract).
-    The winner is gathered from *flat* — a non-empty structured block —
-    as a 0-d record, like the scalar path returns.
+    *rows* are non-empty flat structured blocks, one per partition, of
+    any widths.  ``select(*bound, x, y)`` is the generated selection
+    mask: per pair of records (given as dicts of field arrays), true
+    where ``f(x, y)`` returns ``x``.  Within each row, records meet in an
+    order-preserving pairwise tournament — pairs (0, 1), (2, 3), ...
+    with an odd tail carried to the next round — which re-parenthesizes
+    the sequential left fold and equals it for an associative ``f``
+    (``array_fold``'s contract).  All rows play each round together, in
+    one ``select`` call: a pair whose right side lies past its row's
+    width keeps its left record, which is exactly the odd-tail rule.
+    Each winner is gathered as a 0-d record, like the scalar path
+    returns.
     """
-    cols = [(name, flat[name]) for name in flat.dtype.names]
-    idx = np.arange(flat.size)
-    fields = dict(cols)
-    while idx.size > 1:
-        even = idx.size & ~1
-        x = {name: col[0:even:2] for name, col in fields.items()}
-        y = {name: col[1:even:2] for name, col in fields.items()}
-        won = np.where(select(*bound, x, y), idx[0:even:2], idx[1:even:2])
-        idx = won if even == idx.size else np.concatenate((won, idx[-1:]))
-        fields = {name: col[idx] for name, col in cols}
-    return np.array(flat[idx[0]])
+    widths = np.array([row.size for row in rows])
+    starts = np.cumsum(widths) - widths
+    span = int(widths.max())
+    # pos[r, k]: row r's k-th surviving record; columns past a row's
+    # width hold records whose comparisons are never used
+    pos = np.minimum(np.arange(span), widths[:, None] - 1)
+    at = starts[:, None] + pos
+    fields = {
+        name: np.concatenate([row[name] for row in rows])[at]
+        for name in rows[0].dtype.names
+    }
+    while span > 1:
+        even = span & ~1
+        keep = select(
+            *bound,
+            {name: f[:, 0:even:2] for name, f in fields.items()},
+            {name: f[:, 1:even:2] for name, f in fields.items()},
+        ) | (np.arange(1, even, 2) >= widths[:, None])
+        pos = _pick(keep, pos, even)
+        fields = {name: _pick(keep, f, even) for name, f in fields.items()}
+        widths = (widths + 1) // 2
+        span = pos.shape[1]
+    return [np.array(row[k]) for row, k in zip(rows, pos[:, 0].tolist())]
+
+
+def _pick(keep: np.ndarray, cols: np.ndarray, even: int) -> np.ndarray:
+    """One tournament round of *cols*: the left or right column of each
+    pair as *keep* says, then the odd last column, carried."""
+    won = np.where(keep, cols[:, 0:even:2], cols[:, 1:even:2])
+    if even == cols.shape[1]:
+        return won
+    return np.concatenate((won, cols[:, even:]), axis=1)
 
 
 def min_fn(x, y):

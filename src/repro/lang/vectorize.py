@@ -35,8 +35,8 @@ Two struct-valued forms attach to the same skeleton hooks:
   ``&&``/``||``/``!`` (gauss's ``max_abs_in_col``) — becomes a mask
   ``_sel_<name>(lifted..., x, y)`` that is true where ``x`` is
   returned.  The runtime (:func:`repro.lang.runtime.select_reduce`)
-  runs it as an order-preserving pairwise tournament over a converted
-  block.  The
+  runs it as an order-preserving pairwise tournament within each
+  processor's converted block, all blocks in the same rounds.  The
   winner is always one of the input records, so no rounding changes;
   the tournament re-parenthesizes the per-rank left fold and therefore
   equals it whenever the fold function is associative — the contract

@@ -92,12 +92,29 @@ def array_create(
             )
         else:
             block = arr.local(r)
-            for local_ix, gix in arr.iter_local_indices(r):
-                block[local_ix] = init_elem(gix)
+            block[...] = _scalar_init(init_elem, arr, r).reshape(block.shape)
         per_rank[r] = b.size * t_elem
     ctx.current_rank = None
     ctx.net.compute(per_rank)
     return arr
+
+
+def _scalar_init(init_elem: Callable, arr: DistArray, rank: int) -> np.ndarray:
+    """*init_elem* applied to every global index of one partition, in C
+    order, as a flat array of the element type.
+
+    ``np.fromiter`` stores each value through the dtype's own item
+    conversion, the same one ``block[ix] = value`` uses; structured
+    element types are stored one record at a time.
+    """
+    count = arr.local(rank).size
+    indices = arr.element_indices(rank)
+    if arr.dtype.names is None:
+        return np.fromiter(map(init_elem, indices), arr.dtype, count)
+    out = np.empty(count, dtype=arr.dtype)
+    for k, gix in enumerate(indices):
+        out[k] = init_elem(gix)
+    return out
 
 
 def array_create_uninit(

@@ -34,7 +34,7 @@ from repro.arrays.darray import DistArray
 from repro.errors import SkeletonError
 from repro.skeletons import fuse
 from repro.skeletons.base import MapEnv, ops_of, skeleton_span
-from repro.skeletons.map import apply_fused
+from repro.skeletons.map import apply_fused, scalar_apply
 
 __all__ = ["array_fold", "array_scan"]
 
@@ -46,29 +46,39 @@ def _converted_partition(ctx, conv_f, a: DistArray, rank: int) -> np.ndarray:
         env = MapEnv(ctx, rank, b)
         out = np.asarray(vec(a.local(rank), a.index_grids(rank), env))
         return np.broadcast_to(out, a.local(rank).shape)
-    src = a.local(rank)
-    vals = []
-    for local_ix, gix in a.iter_local_indices(rank):
-        vals.append(conv_f(src[local_ix], gix))
-    arr = np.empty(len(vals), dtype=object)
-    arr[:] = vals
-    return arr
+    return scalar_apply(conv_f, (a.local(rank),), a.element_indices(rank))
 
 
 def _local_fold(fold_f, values: np.ndarray):
+    """The sequential left fold of one converted partition."""
     flat = values.ravel()
     if flat.dtype.names is not None:
-        # records of a vectorized struct-valued conversion
-        reducer = getattr(fold_f, "reduce_all", None)
-        if reducer is not None:
-            return reducer(flat)
-        # fold them as the 0-d structs the scalar conversion makes
-        # (tolist() would hand the folding function plain tuples)
+        # fold the records as the 0-d structs the scalar conversion
+        # makes (tolist() would hand the folding function plain tuples)
         return reduce(fold_f, [np.array(rec) for rec in flat])
     np_reduce = getattr(fold_f, "np_reduce", None)
     if np_reduce is not None and flat.dtype != object:
         return np_reduce(flat)
     return reduce(fold_f, flat.tolist())
+
+
+def _local_folds(ctx, fold_f, parts: list) -> list:
+    """Fold every processor's converted partition; one partial each.
+
+    Structured partitions go to the folding function's ``reduce_all``
+    hook when it has one: a single call folds all partitions at once
+    (see :func:`repro.lang.runtime.select_reduce`).  Otherwise each
+    partition is folded sequentially, on its own processor.
+    """
+    reducer = getattr(fold_f, "reduce_all", None)
+    if reducer is not None and parts[0].dtype.names is not None:
+        return reducer([vals.ravel() for vals in parts])
+    partials = []
+    for r, vals in enumerate(parts):
+        ctx.current_rank = r
+        partials.append(_local_fold(fold_f, vals))
+    ctx.current_rank = None
+    return partials
 
 
 @skeleton_span("array_fold")
@@ -85,16 +95,12 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
 
     t_conv = ctx.elem_time(ops_of(conv_f))
     t_fold = ctx.elem_time(ops_of(fold_f))
-    per_rank = np.zeros(ctx.p)
-    partials = []
     with ctx.phase("fold:local"):
-        # fused fast path: run the conversion kernel once over the pool,
-        # then fold each partition's slice of the converted whole —
-        # ravel order inside a block matches the per-rank path, so the
-        # local fold sees the elements in the identical sequence
-        # real backends convert the partitions in parallel (the local
-        # folds stay in the main process: cheap, and fold order must be
-        # the sequential left-to-right reduce)
+        # real backends convert the partitions in parallel; the fused
+        # fast path runs the conversion kernel once over the pool and
+        # takes each partition's slice of the converted whole (ravel
+        # order inside a block matches the per-rank path, so the local
+        # fold sees the elements in the identical sequence)
         fenv = fuse.FusedEnv(ctx.p)
         converted = fuse.dispatch_blocks(
             ctx,
@@ -107,32 +113,21 @@ def array_fold(ctx, conv_f: Callable, fold_f: Callable, a: DistArray):
             else apply_fused(ctx, conv_f, (a.pool,), a.shape, a.dist)
         )
         if converted is not None:
-            for r in range(ctx.p):
-                vals = np.broadcast_to(
-                    np.asarray(converted[r]), a.local(r).shape
-                )
-                partials.append(_local_fold(fold_f, vals))
-            sizes = a.dist.part_sizes()
-            per_rank = sizes * t_conv + np.maximum(0, sizes - 1) * t_fold
+            parts = [
+                np.broadcast_to(np.asarray(converted[r]), a.local(r).shape)
+                for r in range(ctx.p)
+            ]
         elif conv_global is not None:
-            dist = a.dist
-            for r in range(ctx.p):
-                partials.append(
-                    _local_fold(fold_f, conv_global[dist.part_slices(r)])
-                )
-            # the per-rank formula below, vectorized — elementwise IEEE
-            # ops, so the charged vector is bit-identical
-            sizes = dist.part_sizes()
-            per_rank = sizes * t_conv + np.maximum(0, sizes - 1) * t_fold
+            parts = [conv_global[a.dist.part_slices(r)] for r in range(ctx.p)]
         else:
+            parts = []
             for r in range(ctx.p):
                 ctx.current_rank = r
-                vals = _converted_partition(ctx, conv_f, a, r)
-                partials.append(_local_fold(fold_f, vals))
-                n = vals.size
-                per_rank[r] = n * t_conv + max(0, n - 1) * t_fold
+                parts.append(_converted_partition(ctx, conv_f, a, r))
             ctx.current_rank = None
-        ctx.net.compute(per_rank)
+        partials = _local_folds(ctx, fold_f, parts)
+        sizes = np.array([vals.size for vals in parts])
+        ctx.net.compute(sizes * t_conv + np.maximum(0, sizes - 1) * t_fold)
 
     # combine along the binomial tree and broadcast the result back
     with ctx.phase("fold:tree"):

@@ -41,10 +41,20 @@ def _apply_block(ctx, f, src_arr: DistArray, rank: int, blocks=None):
         env = MapEnv(ctx, rank, b)
         out = vec(src, src_arr.index_grids(rank), env)
         return np.broadcast_to(np.asarray(out), src.shape)
-    out = np.empty(src.shape, dtype=object)
-    for local_ix, gix in src_arr.iter_local_indices(rank):
-        out[local_ix] = f(src[local_ix], gix)
-    return out
+    return scalar_apply(f, (src,), src_arr.element_indices(rank))
+
+
+def scalar_apply(f, srcs: tuple, indices) -> np.ndarray:
+    """``f(*elements, index)`` over every element of the equally shaped
+    blocks *srcs*, in C order, as an object array of their shape.
+
+    Elements are read by ``.flat`` iteration, which yields the same
+    numpy scalars (or record views) as ``src[ix]`` — a float32 kernel
+    keeps computing in float32.
+    """
+    shape = srcs[0].shape
+    vals = map(f, *(s.flat for s in srcs), indices)
+    return np.fromiter(vals, dtype=object, count=srcs[0].size).reshape(shape)
 
 
 def apply_fused(ctx, f, pools: tuple, shape, dist) -> np.ndarray | None:
@@ -230,10 +240,9 @@ def array_zip(
             vals = vec(a.local(r), b.local(r), a.index_grids(r), env)
             vals = np.broadcast_to(np.asarray(vals), a.local(r).shape)
         else:
-            ba, bb = a.local(r), b.local(r)
-            vals = np.empty(ba.shape, dtype=object)
-            for local_ix, gix in a.iter_local_indices(r):
-                vals[local_ix] = zip_f(ba[local_ix], bb[local_ix], gix)
+            vals = scalar_apply(
+                zip_f, (a.local(r), b.local(r)), a.element_indices(r)
+            )
         results.append(np.asarray(vals, dtype=to_arr.dtype))
         cost = bounds.size * t_elem
         if ctx.profile.copy_on_update:

@@ -72,7 +72,7 @@ class TestArgumentFunctions:
         recs["val"] = [3, -7, 2, 5, -7, 1]
         recs["row"] = np.arange(6)
         recs["col"] = 0
-        best = f.reduce_all(recs)
+        best, = f.reduce_all([recs])
         from functools import reduce
 
         pairwise = reduce(f, list(recs))

@@ -18,6 +18,40 @@ class TestFuzzPillar:
         res = run_fuzz(seed=1, budget=8)
         assert any(k.startswith("op.") for k in res.coverage)
 
+    def test_coverage_shows_ragged_record_folds_and_scalar_inits(self):
+        """The pillar's default run reaches record folds over partitions
+        of unequal size and scalar-init creates of every element type."""
+        from repro.check.fuzz import _coverage_keys, generate_spec
+
+        keys = set()
+        for i in range(60):
+            keys.update(_coverage_keys(generate_spec(i)))
+        assert {
+            "argfold.ragged",
+            "create.scalar.float",
+            "create.scalar.int",
+            "create.scalar.unsigned",
+        } <= keys
+
+    @pytest.mark.parametrize("elem", ["float", "int", "unsigned"])
+    def test_sinit_kernel_stays_scalar_and_passes(self, elem):
+        """The family's init kernel is outside the vectorizer's subset,
+        so its create runs the per-element traversal, and the trial
+        agrees with the interpreter."""
+        from repro.check.fuzz import generate_spec, render, run_trial
+        from repro.lang import compile_skil
+
+        seed = next(
+            i for i in range(200)
+            if any(op.kind == "sinit" and op.args[0] == elem
+                   for op in generate_spec(i).ops)
+        )
+        ns = compile_skil(render(generate_spec(seed))).namespace
+        kernels = [v for k, v in ns.items() if k.startswith("sinit")]
+        assert kernels
+        assert not any(hasattr(k, "vectorized") for k in kernels)
+        assert run_trial(seed) is None
+
     def test_raw_seed_replays_exact_trial(self):
         from repro.check.fuzz import run_fuzz_raw
 

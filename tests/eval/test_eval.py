@@ -54,6 +54,30 @@ class TestHarness:
         clos = run_gauss("skil-closures", 4, 32)
         assert clos.seconds > inst.seconds
 
+    @pytest.mark.parametrize(
+        "case, run, args",
+        [
+            ("_shpaths_case", run_shpaths, (4, 12, 7)),
+            ("_gauss_case", run_gauss, (4, 12, False, 7)),
+        ],
+    )
+    def test_input_and_oracle_built_once_per_cell(self, case, run, args):
+        """Every language of a cell reuses one input and one oracle; the
+        shared arrays are read-only, so a driver cannot corrupt them."""
+        from repro.eval import harness
+
+        cached = getattr(harness, case)
+        cached.cache_clear()
+        first = run("skil", *args)
+        again = run("parix-c", *args)
+        info = cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first.n == again.n
+        for arr in cached(first.n, 7):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+
 
 class TestMemoryRule:
     def test_paper_statement(self):

@@ -34,19 +34,29 @@ class TestMatmulSource:
         assert "_rt.section('*')" in mod.python_source
 
     def test_time_matches_native_matmul(self):
+        """Same skeletons, same costs: equal messages and bytes, and
+        simulated time equal up to one skeleton call — ``matmul`` also
+        destroys the product it returns, and that extra
+        ``array_destroy``'s per-call overhead is the whole gap (0.1-0.3%
+        at these sizes).  Compiled unfused, pinned against the
+        process-wide compile default."""
         from repro.apps.matmul import matmul
 
-        n = 16
-        rng = np.random.default_rng(2)
-        a = rng.uniform(size=(n, n))
-        b = rng.uniform(size=(n, n))
-        mod = compile_skil(MATMUL_SKIL)
-        c1 = ctx(4)
-        mod.run("matmul", n, ctx=c1,
-                externals={"init_a": lambda ix: a[ix], "init_b": lambda ix: b[ix]})
-        c2 = ctx(4)
-        matmul(c2, a, b)
-        assert 0.5 < c1.machine.time / c2.machine.time < 2.0
+        mod = compile_skil(MATMUL_SKIL, fusion=False)
+        for n, p in ((16, 4), (32, 4), (32, 16)):
+            rng = np.random.default_rng(2)
+            a = rng.uniform(size=(n, n))
+            b = rng.uniform(size=(n, n))
+            c1 = SkilContext(Machine(p), SKIL, fusion=False)
+            mod.run("matmul", n, ctx=c1, externals={
+                "init_a": lambda ix: a[ix], "init_b": lambda ix: b[ix]})
+            c2 = SkilContext(Machine(p), SKIL, fusion=False)
+            matmul(c2, a, b)
+            s1, s2 = c1.machine.stats, c2.machine.stats
+            assert s1.messages == s2.messages, (n, p)
+            assert s1.bytes_sent == s2.bytes_sent, (n, p)
+            assert s2.skeleton_calls - s1.skeleton_calls == 1, (n, p)
+            assert 0.99 < c1.machine.time / c2.machine.time < 1.0, (n, p)
 
 
 class TestSaxpyScanSource:

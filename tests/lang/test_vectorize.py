@@ -258,6 +258,29 @@ class TestGaussStructFold:
         _run_gauss(data, p, wrap_fold=wrap)
         assert len(calls) == n * (p - 1)
 
+    def test_selection_calls_do_not_scale_with_p(self):
+        """p=16, n=64: each of the n pivot folds runs one tournament for
+        all ranks, ceil(log2 260) = 9 selection rounds over the 4 x 65
+        partitions (a per-rank tournament would make 16 times as many)."""
+        p, n = 16, 64
+        calls = []
+
+        def wrap(fold):
+            def plain(*args):
+                return fold(*args)
+
+            def counted(*args):
+                calls.append(1)
+                return fold.selective(*args)
+
+            plain.selective = counted
+            return plain
+
+        data = np.random.default_rng(5).uniform(-1, 1, (n, n + 1))
+        _run_gauss(data, p, wrap_fold=wrap)
+        max_part = -(-n // p) * (n + 1)
+        assert 0 < len(calls) <= n * int(np.ceil(np.log2(max_part)))
+
 
 REC_SRC = """
 struct _rec {float a; int b; int c;};
@@ -425,10 +448,108 @@ class TestSelectReduce:
         flat["a"] = rng.integers(0, 3, size)  # many ties
         flat["b"] = np.arange(size)
         flat["c"] = rng.permutation(100)[:size]
-        got = fold.reduce_all(flat)
+        got, = fold.reduce_all([flat])
         want = reduce(fold, [np.array(r) for r in flat])
         assert got.shape == () and got.dtype == dt
         assert got.tobytes() == np.asarray(want).tobytes()
+
+    # ragged batches: n=5 on p=4 (2,1,1,1); odd and even widths;
+    # one-element rows; p=1
+    @pytest.mark.parametrize(
+        "widths",
+        [(2, 1, 1, 1), (3, 4, 5, 6), (7, 7, 6, 6), (1, 1, 1), (8, 1, 33, 2), (9,)],
+    )
+    @pytest.mark.parametrize("k", [0, 50, None])
+    def test_batch_equals_per_row_and_left_fold(self, widths, k):
+        """One batched tournament over all rows picks, row for row, the
+        record the single-row tournament and the sequential left fold
+        pick (k=None: first_max, the left-biased tie case)."""
+        from functools import reduce
+
+        fold = self._fold(k)
+        rng = np.random.default_rng([len(widths), sum(widths), k or 0])
+        dt = compile_skil(REC_SRC).namespace["_rt"].struct_dtype("_rec")
+        rows = []
+        for w in widths:
+            row = np.zeros(w, dtype=dt)
+            row["a"] = rng.integers(0, 3, w)  # many ties
+            row["b"] = rng.integers(0, 9, w)
+            row["c"] = rng.permutation(100)[:w]
+            rows.append(row)
+        got = fold.reduce_all(rows)
+        assert len(got) == len(rows)
+        for row, g in zip(rows, got):
+            (one,) = fold.reduce_all([row])
+            want = reduce(fold, [np.array(r) for r in row])
+            assert g.shape == () and g.dtype == dt
+            assert g.tobytes() == one.tobytes() == np.asarray(want).tobytes()
+
+    @staticmethod
+    def _cross_pick(x, y):
+        """Not associative: x wins when x.a > y.c."""
+        return x if x["a"] > y["c"] else y
+
+    def _one_row(self, recs):
+        """The single-row tournament, written out: pairs (0, 1), (2, 3),
+        ... with the odd tail carried."""
+        while len(recs) > 1:
+            won = [self._cross_pick(recs[i], recs[i + 1])
+                   for i in range(0, len(recs) - 1, 2)]
+            recs = won + recs[len(recs) & ~1:]
+        return recs[0]
+
+    def _check_rows(self, rows):
+        from repro.lang.runtime import select_reduce
+
+        got = select_reduce(lambda x, y: x["a"] > y["c"], (), rows)
+        for row, g in zip(rows, got):
+            want = self._one_row([np.array(r) for r in row])
+            assert g.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("widths", [(2, 1, 1, 1), (3, 4, 5, 6), (4, 8)])
+    def test_batch_pairs_exactly_like_one_row(self, widths):
+        """A non-associative selection exposes every pairing: the batch
+        must play, row for row, the single-row tournament's pairs."""
+        dt = compile_skil(REC_SRC).namespace["_rt"].struct_dtype("_rec")
+        rng = np.random.default_rng(list(widths))
+        for _ in range(200):
+            rows = []
+            for w in widths:
+                row = np.zeros(w, dtype=dt)
+                row["a"] = rng.integers(0, 9, w)
+                row["b"] = np.arange(w)
+                row["c"] = rng.integers(0, 9, w)
+                rows.append(row)
+            self._check_rows(rows)
+
+    def test_survivor_never_meets_a_position_past_its_row(self):
+        """Width 4 beside width 8: after two rounds the short row's
+        survivor r0 sits alone and must be kept, not compared with the
+        padding past its row (a copy of r3, which it would lose to)."""
+        dt = compile_skil(REC_SRC).namespace["_rt"].struct_dtype("_rec")
+        short = np.zeros(4, dtype=dt)
+        short["a"] = [2, 0, 5, 0]
+        short["c"] = [0, 0, 0, 3]
+        self._check_rows([short, np.zeros(8, dtype=dt)])
+
+    @pytest.mark.parametrize("widths", [(2, 1, 1, 1), (260,) * 16, (5, 17, 3)])
+    def test_batch_runs_one_select_per_round(self, widths):
+        """The rows share their rounds: ceil(log2(widest row)) selection
+        calls in all, however many rows."""
+        from repro.lang.runtime import select_reduce
+
+        mod = _rec_module()
+        sel = mod.namespace["best_1"].selective
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return sel(*args)
+
+        dt = mod.namespace["_rt"].struct_dtype("_rec")
+        rows = [np.zeros(w, dtype=dt) for w in widths]
+        select_reduce(counted, (0,), rows)
+        assert len(calls) == int(np.ceil(np.log2(max(widths))))
 
     def test_object_block_folds_sequentially(self):
         """A conversion that ran scalar yields an object block: the local
@@ -524,6 +645,6 @@ class TestIntFlagConditions:
         flat["a"] = rng.integers(0, 3, size)
         flat["ok"] = rng.integers(0, 3, size)
         flat["c"] = np.arange(size)
-        got = fold.reduce_all(flat)
+        got, = fold.reduce_all([flat])
         want = reduce(fold, [np.array(r) for r in flat])
         assert got.tobytes() == np.asarray(want).tobytes()
